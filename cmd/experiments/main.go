@@ -82,6 +82,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -interconnect %q (use %s)\n", *icKind, strings.Join(bus.Kinds(), "|"))
 		os.Exit(2)
 	}
+	if err := bus.CheckNodes(*icKind, *cpus); err != nil {
+		fmt.Fprintf(os.Stderr, "invalid -cpus: %v\n", err)
+		os.Exit(2)
+	}
 	p := experiments.Params{CPUs: *cpus, Scale: *scale, Seeds: *seeds, Jobs: *jobs, Check: *chk,
 		Interconnect: *icKind, Telemetry: tel, Timing: *timing, NoFastForward: *noFF}
 

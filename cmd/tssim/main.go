@@ -208,6 +208,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -interconnect %q (use %s)\n", *icKind, strings.Join(bus.Kinds(), "|"))
 		os.Exit(2)
 	}
+	if err := bus.CheckNodes(*icKind, *cpus); err != nil {
+		fmt.Fprintf(os.Stderr, "invalid -cpus: %v\n", err)
+		os.Exit(2)
+	}
 	if *litmusShape != "" {
 		os.Exit(litmusShapeMain(*litmusShape, *enumerate, tech, *noFF, *icKind))
 	}

@@ -90,6 +90,21 @@ func ValidKind(kind string) bool {
 	return false
 }
 
+// CheckNodes reports whether a machine of n nodes can run on the named
+// backend: every machine needs at least one node, and the directory's
+// per-line sharer masks are one uint64, so it holds at most 64. CLIs
+// use it to turn a bad -cpus into a usage error before building a
+// machine.
+func CheckNodes(kind string, n int) error {
+	if n < 1 {
+		return fmt.Errorf("%d CPUs: a machine needs at least 1", n)
+	}
+	if kind == KindDirectory && n > dirMaxNodes {
+		return fmt.Errorf("%d CPUs: the directory's sharer masks hold at most %d nodes", n, dirMaxNodes)
+	}
+	return nil
+}
+
 // NewInterconnect builds the named backend over the given backing
 // memory. The empty name selects the atomic snoop bus (the historical
 // default).

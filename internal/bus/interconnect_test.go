@@ -57,6 +57,19 @@ func TestInterconnectFactory(t *testing.T) {
 	}
 }
 
+// CheckNodes accepts 1..64 nodes on every backend and more only off
+// the directory, whose sharer masks are one uint64.
+func TestCheckNodes(t *testing.T) {
+	for _, kind := range append([]string{""}, Kinds()...) {
+		for _, n := range []int{-3, 0, 1, 4, 64, 65} {
+			wantOK := n >= 1 && (n <= 64 || kind != KindDirectory)
+			if err := CheckNodes(kind, n); (err == nil) != wantOK {
+				t.Errorf("CheckNodes(%q, %d) = %v, want ok=%v", kind, n, err, wantOK)
+			}
+		}
+	}
+}
+
 // The split bus arbitrates the data network at payload-ready time: a
 // lone read pays grant + source latency, then occupies the data bus.
 func TestSplitBusSingleReadLatency(t *testing.T) {

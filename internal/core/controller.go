@@ -167,13 +167,17 @@ type Controller struct {
 	wbBuf     map[uint64]mem.Line
 	wbPending map[uint64]int
 
-	// stateVer counts the controller-state transitions that can change
-	// the attached core's quiescence classification without a Client
-	// callback: store-buffer pops, and this node's own bus grants and
-	// completions (MSHR frees, fills, validate state moves). Remote
-	// transactions already reach the core via ExternalSnoop. The core
-	// snapshots the version when it caches a fast-forward horizon and
-	// drops the cache on mismatch.
+	// stateVer changes on every controller event whose effect a Load
+	// could observe: store-buffer pushes (StoreCommit, SCExecute) and
+	// pops, this node's own bus grants and completions (MSHR frees,
+	// fills, evictions, validate state moves), every snooped remote
+	// transaction (a remote validate can move a line from T to S and
+	// make it readable), an SLE exclusive prefetch that allocates, and
+	// an SLE atomic commit. Between two changes, a Load that found the
+	// MSHR file exhausted would find it exhausted again, and
+	// StoreBufFull and PeekLoad answer the same. The core keys its
+	// cached fast-forward horizon and its parked loads to it. It starts
+	// at 1, so a zero key means "not parked".
 	stateVer uint64
 }
 
@@ -212,6 +216,7 @@ func NewController(cfg Config, b bus.Interconnect, client Client, counters *stat
 		hVreuse:      counters.Hist("lat/validate_reuse"),
 		occEvery:     uint64(cfg.OccSampleEvery),
 		occCountdown: 1, // sample cycle 0 so short runs still populate
+		stateVer:     1,
 	}
 	if cfg.MESTI {
 		c.detector = cfg.Detector
@@ -360,7 +365,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 		m = c.mshrs.Alloc(la, isLL)
 		if m == nil {
 			c.cnt.l2MSHRFull.Inc()
-			return LoadResult{Status: LoadRetry}
+			return LoadResult{Status: LoadRetryFull}
 		}
 		ty := bus.TxnRead
 		if isLL {
@@ -431,6 +436,7 @@ func (c *Controller) StoreCommit(seq, pc, addr, val uint64) bool {
 		return false
 	}
 	c.storeBuf = append(c.storeBuf, storeEntry{seq: seq, pc: pc, addr: mem.AlignWord(addr), val: val})
+	c.stateVer++
 	if c.sink != nil {
 		c.sink.StoreBuffered(c.id, mem.AlignWord(addr), val, false)
 	}
@@ -445,6 +451,7 @@ func (c *Controller) SCExecute(seq, pc, addr, val uint64) bool {
 		return false
 	}
 	c.storeBuf = append(c.storeBuf, storeEntry{seq: seq, pc: pc, addr: mem.AlignWord(addr), val: val, isSC: true})
+	c.stateVer++
 	if c.sink != nil {
 		c.sink.StoreBuffered(c.id, mem.AlignWord(addr), val, true)
 	}
@@ -711,9 +718,8 @@ func (c *Controller) popStore() {
 }
 
 // StateVersion implements the cpu.MemSystem invalidation hook: it
-// changes whenever controller state that feeds the core's quiescence
-// classification (StoreBufFull, PeekLoad) may have changed without a
-// Client callback.
+// changes on every event whose effect Load, PeekLoad or StoreBufFull
+// could observe (see stateVer), and it is never zero.
 func (c *Controller) StateVersion() uint64 { return c.stateVer }
 
 // performStore writes one word into a line held in M or E and runs the
@@ -806,6 +812,7 @@ func (c *Controller) PrefetchExclusive(addr uint64) {
 	if m == nil {
 		return
 	}
+	c.stateVer++
 	if l != nil && (Upgradable(l.State) || l.State == StateVS) {
 		if l.State == StateVS {
 			l.State = StateS
@@ -836,6 +843,7 @@ func (c *Controller) SLECommitStores(stores []SpecStore) bool {
 			return false
 		}
 	}
+	c.stateVer++
 	for i := range stores {
 		s := &stores[i]
 		la := mem.LineAddr(s.Addr)

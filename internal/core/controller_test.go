@@ -128,7 +128,7 @@ func (h *harness) loadValue(node int, addr uint64) uint64 {
 		switch r.Status {
 		case LoadHit:
 			return r.Value
-		case LoadRetry:
+		case LoadRetry, LoadRetryFull:
 			h.tick(1)
 			continue
 		case LoadSpec, LoadMiss:

@@ -144,10 +144,18 @@ const (
 	LoadHit   LoadStatus = iota // value returned now, after Lat cycles
 	LoadMiss                    // value arrives later via Client.LoadDone
 	LoadSpec                    // speculative value now; verification later
-	LoadRetry                   // structural hazard; reissue next cycle
+	LoadRetry                   // silent hazard (pending SC to the word); reissue next cycle
+	// LoadRetryFull: the load missed both levels and found the MSHR
+	// file exhausted; reissue next cycle. This attempt bumped exactly
+	// l1/miss, l2/miss and l2/mshr_full, and until StateVersion moves
+	// every reissue would bump the same three and retry again — the
+	// core parks the load on the version instead of calling Load.
+	LoadRetryFull
 )
 
-// LoadResult is the immediate answer to Controller.Load.
+// LoadResult is the immediate answer to Controller.Load. Status
+// LoadRetry and LoadRetryFull both mean "not issued"; they differ only
+// in what the attempt counted (see LoadRetryFull).
 type LoadResult struct {
 	Status LoadStatus
 	Value  uint64 // valid for LoadHit and LoadSpec
@@ -170,7 +178,7 @@ const (
 	// LoadProbeRetryPure: the Load would return LoadRetry with no
 	// observable side effect (a pending SC blocks forwarding).
 	LoadProbeRetryPure
-	// LoadProbeRetryCounted: the Load would return LoadRetry after
+	// LoadProbeRetryCounted: the Load would return LoadRetryFull after
 	// bumping exactly l1/miss, l2/miss, and l2/mshr_full (MSHR file
 	// exhausted).
 	LoadProbeRetryCounted

@@ -106,6 +106,7 @@ func (c *Controller) TxnScheduled(t *bus.Txn, doneAt uint64) {
 // SnoopTxn applies the remote-side transition for another node's
 // granted transaction and returns this node's snoop response.
 func (c *Controller) SnoopTxn(t *bus.Txn) bus.SnoopReply {
+	c.stateVer++
 	la := t.Addr
 	isWrite := t.Type == bus.TxnReadX || t.Type == bus.TxnUpgrade
 	c.client.ExternalSnoop(la, isWrite)

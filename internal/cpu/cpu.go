@@ -43,11 +43,13 @@ type MemSystem interface {
 	// cannot issue pins the machine to the current cycle.
 	PeekLoad(addr uint64) core.LoadProbe
 
-	// StateVersion changes whenever memory-system state feeding
-	// StoreBufFull or PeekLoad may have changed without a core.Client
-	// callback (store-buffer drains, this node's bus grants and
-	// completions). The core snapshots it when caching a quiescence
-	// horizon and revalidates before trusting the cache.
+	// StateVersion changes on every memory-system event whose effect
+	// Load, PeekLoad or StoreBufFull could observe (store-buffer pushes
+	// and drains, this node's bus grants and completions, snooped
+	// remote transactions, SLE prefetches and commits), and it is never
+	// zero. While it holds, a load that got core.LoadRetryFull would get
+	// it again. The core keys its cached quiescence horizon and its
+	// parked loads (entry.parkVer) to it.
 	StateVersion() uint64
 
 	// EarliestFill reports the earliest scheduled completion cycle
@@ -202,6 +204,13 @@ type entry struct {
 	scanVer   uint64
 	scanStall bool
 	scanFwd   *entry
+
+	// parkVer is the memsys.StateVersion at which Load last answered
+	// core.LoadRetryFull for this load (0: not parked). While the
+	// version still matches, a reissue would miss, find the MSHR file
+	// exhausted and retry again, so issueLoad and quiesce replay its
+	// counter bumps without calling the memory system (see parked).
+	parkVer uint64
 }
 
 // consRef is one wakeup registration: entry e (identified by seq, so a
@@ -290,7 +299,8 @@ type cpuCounters struct {
 	// storeBufFull, l1Miss, l2Miss and mshrFull are the controller's
 	// handles (the counters object is shared machine-wide): SkipCycles
 	// replays the bumps the refused StoreCommit and counted load
-	// retries of each skipped stall cycle would have made.
+	// retries of each skipped stall cycle would have made, and a parked
+	// load's issue attempt replays its counted retry (see parked).
 	storeBufFull stats.Counter
 	l1Miss       stats.Counter
 	l2Miss       stats.Counter
@@ -756,6 +766,10 @@ func (c *Core) quiesce(now uint64) (next uint64, spin coreSpin) {
 			}
 			if fwd != nil {
 				return now, coreSpin{} // forwards from an older store
+			}
+			if c.parked(e) {
+				spin.loadRetries++ // the counted retry, known without a probe
+				continue
 			}
 			switch c.memsys.PeekLoad(e.effAddr) {
 			case core.LoadProbeActive:
@@ -1341,9 +1355,19 @@ func (c *Core) issueLoad(e *entry) bool {
 		}
 		return true
 	}
+	if c.parked(e) {
+		// The bumps Load's MSHR-exhausted retry would make.
+		c.cnt.l1Miss.Inc()
+		c.cnt.l2Miss.Inc()
+		c.cnt.mshrFull.Inc()
+		return false
+	}
 	r := c.memsys.Load(e.seq, e.effAddr, e.ins.Op == isa.OpLL)
 	switch r.Status {
 	case core.LoadRetry:
+		return false
+	case core.LoadRetryFull:
+		e.parkVer = c.memsys.StateVersion()
 		return false
 	case core.LoadHit:
 		e.issued = true
@@ -1364,6 +1388,24 @@ func (c *Core) issueLoad(e *entry) bool {
 	}
 	if c.sle != nil {
 		c.sle.onLoadIssued(e)
+	}
+	return true
+}
+
+// parked reports whether e's last Load answer, an MSHR-exhausted
+// retry, still stands: the memory system's StateVersion has not moved
+// since, so calling Load again would only repeat it. Under the commit
+// checker every hit is cross-checked against the side-effect-free
+// PeekLoad, and a disagreement panics.
+func (c *Core) parked(e *entry) bool {
+	if e.parkVer == 0 || e.parkVer != c.memsys.StateVersion() {
+		return false
+	}
+	if c.checker {
+		if p := c.memsys.PeekLoad(e.effAddr); p != core.LoadProbeRetryCounted {
+			panic(fmt.Sprintf("cpu%d: parked load seq %d at %#x no longer retries (probe %d) at state version %d",
+				c.id, e.seq, e.effAddr, p, e.parkVer))
+		}
 	}
 	return true
 }

@@ -12,7 +12,8 @@ import (
 // fakeMem is a scriptable MemSystem: loads hit with fixed latency over
 // a functional memory; stores apply at commit; SCs succeed unless
 // scripted otherwise. Optional hooks let tests inject misses,
-// speculative (LVP) deliveries, and delayed SC results.
+// speculative (LVP) deliveries, delayed SC results, and loads that
+// find the MSHR file exhausted.
 type fakeMem struct {
 	mem      *mem.Memory
 	loadLat  int
@@ -20,7 +21,15 @@ type fakeMem struct {
 	pendLoad map[uint64]uint64 // seq -> addr for delayed loads
 	delayed  map[uint64]bool   // word addrs whose loads go async
 	spec     map[uint64]uint64 // word addr -> speculative value to deliver
+	full     map[uint64]bool   // word addrs whose loads get LoadRetryFull
 	core     *Core
+	ctrs     *stats.Counters
+
+	// ver is the StateVersion; the zero default never parks a load.
+	// loadCalls and peekCalls count Load and PeekLoad calls.
+	ver       uint64
+	loadCalls int
+	peekCalls int
 
 	prefetches   []uint64
 	sleCommits   [][]core.SpecStore
@@ -36,12 +45,22 @@ func newFakeMem() *fakeMem {
 		pendLoad:     map[uint64]uint64{},
 		delayed:      map[uint64]bool{},
 		spec:         map[uint64]uint64{},
+		full:         map[uint64]bool{},
+		ctrs:         stats.NewCounters(),
 		sleWritable:  true,
 		reservations: true,
 	}
 }
 
 func (f *fakeMem) Load(seq uint64, addr uint64, isLL bool) core.LoadResult {
+	f.loadCalls++
+	if f.full[addr] {
+		// The controller's MSHR-exhausted retry and its three bumps.
+		f.ctrs.Inc("l1/miss")
+		f.ctrs.Inc("l2/miss")
+		f.ctrs.Inc("l2/mshr_full")
+		return core.LoadResult{Status: core.LoadRetryFull}
+	}
 	if v, ok := f.spec[addr]; ok {
 		return core.LoadResult{Status: core.LoadSpec, Value: v, Lat: f.loadLat}
 	}
@@ -73,8 +92,7 @@ func (f *fakeMem) PrefetchExclusive(addr uint64)       { f.prefetches = append(f
 func (f *fakeMem) HoldsWritable(addr uint64) bool      { return f.sleWritable }
 func (f *fakeMem) StoreBufEmpty() bool                 { return true }
 func (f *fakeMem) StoreBufFull() bool                  { return false }
-func (f *fakeMem) PeekLoad(addr uint64) core.LoadProbe { return core.LoadProbeActive }
-func (f *fakeMem) StateVersion() uint64                { return 0 }
+func (f *fakeMem) StateVersion() uint64                { return f.ver }
 func (f *fakeMem) EarliestFill() (uint64, bool)        { return 0, false }
 func (f *fakeMem) SLECommitStores(st []core.SpecStore) bool {
 	if !f.sleWritable {
@@ -86,6 +104,14 @@ func (f *fakeMem) SLECommitStores(st []core.SpecStore) bool {
 		f.mem.WriteWord(s.Addr, s.Value)
 	}
 	return true
+}
+
+func (f *fakeMem) PeekLoad(addr uint64) core.LoadProbe {
+	f.peekCalls++
+	if f.full[addr] {
+		return core.LoadProbeRetryCounted
+	}
+	return core.LoadProbeActive
 }
 
 // deliver completes a pending (delayed) load with the current memory
@@ -102,7 +128,7 @@ func (f *fakeMem) deliver(seq uint64) {
 func newTestCore(t *testing.T, prog *isa.Program, sle bool) (*Core, *fakeMem, *stats.Counters) {
 	t.Helper()
 	f := newFakeMem()
-	ctrs := stats.NewCounters()
+	ctrs := f.ctrs // shared, as the controller's and core's are in a System
 	cfg := DefaultConfig()
 	cfg.SLE.Enabled = sle
 	c := New(cfg, 0, prog, f, ctrs)

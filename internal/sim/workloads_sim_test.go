@@ -3,6 +3,7 @@ package sim_test
 import (
 	"testing"
 
+	"tssim/internal/bus"
 	"tssim/internal/sim"
 	"tssim/internal/workload"
 )
@@ -41,5 +42,56 @@ func TestWorkloadsOnTimingModel(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParkedLoadsCheckedAllBackends runs workloads whose loads find
+// the MSHR file exhausted under the commit checker on every
+// interconnect backend. The checker cross-checks every parked load (one
+// whose last Load answer was an MSHR-exhausted retry and whose
+// controller state version has not moved since) against PeekLoad and
+// panics on disagreement, so a state change the version misses fails
+// here. specweb runs all four techniques so SLE prefetches and commits
+// move the version while loads are parked; tpc-b (the compute-bound
+// benchmark machine) never exhausts its MSHRs and guards that the
+// wider version leaves the SLE-heavy path intact.
+func TestParkedLoadsCheckedAllBackends(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-model sweep is slow")
+	}
+	all := sim.Techniques{MESTI: true, EMESTI: true, LVP: true, SLE: true}
+	runs := []struct {
+		name     string
+		tech     sim.Techniques
+		wantFull bool // some load must find the MSHR file exhausted
+	}{
+		{"specjbb", sim.Techniques{}, true},
+		{"ocean", sim.Techniques{MESTI: true}, true},
+		{"specweb", all, true},
+		{"tpc-b", all, false},
+	}
+	for _, r := range runs {
+		w, err := workload.ByName(r.name, workload.Params{CPUs: 4, Scale: 1, UnsafeISyncEvery: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ic := range bus.Kinds() {
+			t.Run(r.name+"/"+ic, func(t *testing.T) {
+				cfg := sim.ExperimentConfig()
+				cfg.Interconnect = ic
+				cfg.Tech = r.tech
+				cfg.CheckCommits = true
+				res := sim.RunOneErr(cfg, w)
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				if !res.Finished {
+					t.Fatalf("did not finish (%d cycles)", res.Cycles)
+				}
+				if r.wantFull && res.Counters["l2/mshr_full"] == 0 {
+					t.Fatal("no load ever found the MSHR file exhausted; nothing was parked")
+				}
+			})
+		}
 	}
 }

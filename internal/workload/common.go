@@ -138,25 +138,36 @@ func combineValidators(vs ...func(*mem.Memory, func(uint64) uint64) error) func(
 	}
 }
 
-// All returns every workload constructor keyed by the paper's Table 2
-// names, at the given parameters.
-func All(p Params) []Workload {
-	return []Workload{
-		Ocean(p),
-		Radiosity(p),
-		Raytrace(p),
-		SpecJBB(p),
-		SpecWeb(p),
-		TPCB(p),
-		TPCH(p),
-	}
+// constructors maps each of the paper's Table 2 names, in Table 2
+// order, to its generator. All, ByName and Names all read it, so
+// ByName builds only the workload it returns.
+var constructors = []struct {
+	name  string
+	build func(Params) Workload
+}{
+	{"ocean", Ocean},
+	{"radiosity", Radiosity},
+	{"raytrace", Raytrace},
+	{"specjbb", SpecJBB},
+	{"specweb", SpecWeb},
+	{"tpc-b", TPCB},
+	{"tpc-h", TPCH},
 }
 
-// ByName returns one workload by its Table 2 name.
+// All builds every workload at the given parameters, in Table 2 order.
+func All(p Params) []Workload {
+	ws := make([]Workload, len(constructors))
+	for i, k := range constructors {
+		ws[i] = k.build(p)
+	}
+	return ws
+}
+
+// ByName builds one workload by its Table 2 name.
 func ByName(name string, p Params) (Workload, error) {
-	for _, w := range All(p) {
-		if w.Name == name {
-			return w, nil
+	for _, k := range constructors {
+		if k.name == name {
+			return k.build(p), nil
 		}
 	}
 	return Workload{}, fmt.Errorf("workload: unknown name %q", name)
@@ -164,5 +175,9 @@ func ByName(name string, p Params) (Workload, error) {
 
 // Names lists the seven workload names in Table 2 order.
 func Names() []string {
-	return []string{"ocean", "radiosity", "raytrace", "specjbb", "specweb", "tpc-b", "tpc-h"}
+	ns := make([]string, len(constructors))
+	for i, k := range constructors {
+		ns[i] = k.name
+	}
+	return ns
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"tssim/internal/isa"
@@ -244,5 +245,42 @@ func TestScaleGrowsWork(t *testing.T) {
 	}
 	if rs, rb := run(small), run(big); rb < 2*rs {
 		t.Fatalf("scale 4 retired %d, scale 1 retired %d: scaling broken", rb, rs)
+	}
+}
+
+// ByName must build exactly the workload All builds under the same
+// name — same programs and same initial memory image — at the default
+// and at a large machine size, and All must follow Names' order.
+func TestByNameMatchesAll(t *testing.T) {
+	for _, cpus := range []int{4, 16} {
+		p := Params{CPUs: cpus, Scale: 1, UnsafeISyncEvery: 3}
+		all := All(p)
+		names := Names()
+		if len(all) != len(names) {
+			t.Fatalf("All built %d workloads for %d names", len(all), len(names))
+		}
+		for i, want := range all {
+			if want.Name != names[i] {
+				t.Fatalf("All[%d] = %q, Names[%d] = %q", i, want.Name, i, names[i])
+			}
+			got, err := ByName(want.Name, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Programs, want.Programs) {
+				t.Errorf("%s at %d CPUs: ByName programs differ from All's", want.Name, cpus)
+			}
+			if (got.Init == nil) != (want.Init == nil) {
+				t.Fatalf("%s at %d CPUs: ByName and All disagree on having an init", want.Name, cpus)
+			}
+			gm, wm := mem.New(), mem.New()
+			if want.Init != nil {
+				got.Init(gm)
+				want.Init(wm)
+			}
+			if !reflect.DeepEqual(gm, wm) {
+				t.Errorf("%s at %d CPUs: ByName init image differs from All's", want.Name, cpus)
+			}
+		}
 	}
 }
