@@ -212,6 +212,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "invalid -cpus: %v\n", err)
 		os.Exit(2)
 	}
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{{"scale", *scale, 1}, {"seeds", *seeds, 1}, {"j", *jobs, 0}} {
+		if f.val < f.min {
+			fmt.Fprintf(os.Stderr, "invalid -%s %d: must be at least %d\n", f.name, f.val, f.min)
+			os.Exit(2)
+		}
+	}
 	if *litmusShape != "" {
 		os.Exit(litmusShapeMain(*litmusShape, *enumerate, tech, *noFF, *icKind))
 	}

@@ -59,6 +59,10 @@ func TestFlags(t *testing.T) {
 		{[]string{"-enumerate"}, 2, "-enumerate requires -litmus-shape"},
 		{[]string{"-seeds", "2", "-report", "r.json"}, 2, "use -seeds 1"},
 		{[]string{"-litmus-shape", "nosuch"}, 2, "unknown shape"},
+		{[]string{"-scale", "0"}, 2, "invalid -scale 0"},
+		{[]string{"-scale", "-1"}, 2, "invalid -scale -1"},
+		{[]string{"-seeds", "0"}, 2, "invalid -seeds 0"},
+		{[]string{"-seeds", "2", "-j", "-3"}, 2, "invalid -j -3"},
 		{[]string{"-workload", "ocean", "-cpus", "2"}, 0, ""},
 		{[]string{"-workload", "ocean", "-cpus", "1", "-interconnect", "directory"}, 0, ""},
 	} {

@@ -124,10 +124,15 @@ func (f *MSHRFile) Lookup(addr uint64) *MSHR {
 }
 
 // Alloc claims a free MSHR for the line containing addr, or returns
-// nil when the file is full.
+// nil when the file is full. A full file answers in O(1) after the
+// duplicate check: the retry of a load that finds it exhausted pays no
+// scan of the entries.
 func (f *MSHRFile) Alloc(addr uint64, write bool) *MSHR {
 	if f.Lookup(addr) != nil {
 		panic(fmt.Sprintf("cache: duplicate MSHR for %#x", mem.LineAddr(addr)))
+	}
+	if f.used == len(f.entries) {
+		return nil
 	}
 	for i := range f.entries {
 		if !f.entries[i].Valid {

@@ -48,6 +48,20 @@ func TestMSHRDuplicatePanics(t *testing.T) {
 	f.Alloc(0x1008, true)
 }
 
+// A full file still rejects a duplicate line with a panic before it
+// answers "full".
+func TestMSHRFullDuplicatePanics(t *testing.T) {
+	f := NewMSHRFile(2)
+	f.Alloc(0x1000, false)
+	f.Alloc(0x2000, false)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("duplicate alloc on a full file must panic")
+		}
+	}()
+	f.Alloc(0x2008, true)
+}
+
 func TestMSHRRecordSpecTracksOldest(t *testing.T) {
 	var m MSHR
 	m.RecordSpec(3, 100, 7)

@@ -167,18 +167,20 @@ type Controller struct {
 	wbBuf     map[uint64]mem.Line
 	wbPending map[uint64]int
 
-	// stateVer changes on every controller event whose effect a Load
-	// could observe: store-buffer pushes (StoreCommit, SCExecute) and
-	// pops, this node's own bus grants and completions (MSHR frees,
-	// fills, evictions, validate state moves), every snooped remote
-	// transaction (a remote validate can move a line from T to S and
-	// make it readable), an SLE exclusive prefetch that allocates, and
-	// an SLE atomic commit. Between two changes, a Load that found the
-	// MSHR file exhausted would find it exhausted again, and
-	// StoreBufFull and PeekLoad answer the same. The core keys its
-	// cached fast-forward horizon and its parked loads to it. It starts
-	// at 1, so a zero key means "not parked".
+	// stateVer changes on every controller event whose effect Load,
+	// PeekLoad or StoreBufFull could observe: store-buffer pushes
+	// (StoreCommit, SCExecute) and pops, this node's own bus grants and
+	// completions (MSHR frees, fills, evictions, validate state moves),
+	// every snooped remote transaction, an SLE exclusive prefetch that
+	// allocates, and an SLE atomic commit. The core keys its cached
+	// fast-forward horizon to it.
 	stateVer uint64
+
+	// retryVer is the narrow key for MSHR-exhausted loads: it moves only
+	// on the events that can change a LoadRetryFull answer for a load
+	// the core holds back (see RetryVersion), and every move is also a
+	// stateVer move. It starts at 1.
+	retryVer uint64
 }
 
 // NewController builds a controller, attaches it to the interconnect,
@@ -217,6 +219,7 @@ func NewController(cfg Config, b bus.Interconnect, client Client, counters *stat
 		occEvery:     uint64(cfg.OccSampleEvery),
 		occCountdown: 1, // sample cycle 0 so short runs still populate
 		stateVer:     1,
+		retryVer:     1,
 	}
 	if cfg.MESTI {
 		c.detector = cfg.Detector
@@ -722,6 +725,39 @@ func (c *Controller) popStore() {
 // could observe (see stateVer), and it is never zero.
 func (c *Controller) StateVersion() uint64 { return c.stateVer }
 
+// RetryVersion implements the cpu.MemSystem wake-up key for loads held
+// back after LoadRetryFull. Such a load missed both levels, found no
+// MSHR for its line and no store-buffer entry for its word, and the
+// MSHR file full. Its answer can change only if the file frees an
+// entry, its line becomes readable, an MSHR is allocated for its line,
+// or a store to its word enters the buffer. The version moves on
+//
+//   - every MSHR free (freeMSHR): the only way the file stops being
+//     full, hence also the only way any later allocation can succeed;
+//   - a data fill with no live MSHR, which installs a readable line
+//     without a free (never expected; see serveMSHR);
+//   - a snooped validate that revalidates a T line to S or VS;
+//   - an SLE exclusive prefetch that allocates, and an SLE commit that
+//     performs.
+//
+// Store-buffer pushes are left out on purpose. The core holds a load
+// back only when its older-store scan found no older in-window store
+// or SC to its word with every older address resolved. Stores enter
+// the buffer in program order as they retire, so every later push
+// (StoreCommit, or SCExecute at the window head) comes from one of
+// those older stores and cannot match the load's word. Pops, this
+// node's own grants, and snoops other than a revalidating validate
+// leave the MSHR file full and never make an unreadable line readable,
+// so they are left out too.
+func (c *Controller) RetryVersion() uint64 { return c.retryVer }
+
+// freeMSHR releases m and moves the retry version: a load that found
+// the file exhausted may now allocate.
+func (c *Controller) freeMSHR(m *cache.MSHR) {
+	c.mshrs.Free(m)
+	c.retryVer++
+}
+
 // performStore writes one word into a line held in M or E and runs the
 // MESTI temporal-silence machinery.
 func (c *Controller) performStore(l *cache.Line, e *storeEntry, slot int) {
@@ -813,6 +849,7 @@ func (c *Controller) PrefetchExclusive(addr uint64) {
 		return
 	}
 	c.stateVer++
+	c.retryVer++
 	if l != nil && (Upgradable(l.State) || l.State == StateVS) {
 		if l.State == StateVS {
 			l.State = StateS
@@ -844,6 +881,7 @@ func (c *Controller) SLECommitStores(stores []SpecStore) bool {
 		}
 	}
 	c.stateVer++
+	c.retryVer++
 	for i := range stores {
 		s := &stores[i]
 		la := mem.LineAddr(s.Addr)

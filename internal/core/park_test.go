@@ -51,7 +51,7 @@ func TestStateVersionMovesOnLoadVisibleEvents(t *testing.T) {
 	h := newHarness(t, 2, nil)
 	n := h.nodes[0]
 	if n.StateVersion() == 0 {
-		t.Fatal("state version starts at zero, the not-parked key")
+		t.Fatal("state version starts at zero")
 	}
 	moves := func(what string, want bool, fn func()) {
 		t.Helper()
@@ -77,6 +77,77 @@ func TestStateVersionMovesOnLoadVisibleEvents(t *testing.T) {
 	h.drain()
 	moves("SLE prefetch of a writable line", false, func() { n.PrefetchExclusive(0x5000) })
 	moves("SLE commit", true, func() { n.SLECommitStores([]SpecStore{{Addr: 0x5000, Value: 3}}) })
+}
+
+// The retry version starts at 1 and moves only on the events that can
+// change a LoadRetryFull answer for a load with no older-store
+// conflict: an MSHR free, a T line revalidated to S (MESTI) or VS
+// (E-MESTI), an allocating SLE prefetch and a performing SLE commit.
+// Store-buffer pushes and pops and a plain remote read snoop leave it
+// alone. Every move is also a state-version move, which the core's
+// cached horizon relies on.
+func TestRetryVersionMovesOnRetryVisibleEvents(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   func(int, *Config)
+		state State // the revalidated remote copy
+		train bool  // the cold E-MESTI predictor suppresses the first validate
+	}{{"mesti", mestiCfg, StateS, false}, {"emesti", emestiCfg, StateVS, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, 2, tc.cfg)
+			if v := h.nodes[0].RetryVersion(); v != 1 {
+				t.Fatalf("retry version starts at %d, want 1", v)
+			}
+			moves := func(node int, what string, want bool, fn func()) {
+				t.Helper()
+				n := h.nodes[node]
+				rv, sv := n.RetryVersion(), n.StateVersion()
+				fn()
+				moved := n.RetryVersion() != rv
+				if moved != want {
+					t.Errorf("%s: retry version moved = %v, want %v", what, moved, want)
+				}
+				if moved && n.StateVersion() == sv {
+					t.Errorf("%s: retry version moved without the state version", what)
+				}
+			}
+			n := h.nodes[0]
+			moves(0, "MSHR free", true, func() {
+				if r := n.Load(h.seq(), 0x1000, false); r.Status != LoadMiss {
+					t.Fatalf("cold load status %v, want miss", r.Status)
+				}
+				h.drain()
+			})
+			h.store(0, 0x1000, 1) // node 0 now holds 0x1000 in M
+			moves(0, "StoreCommit", false, func() { n.StoreCommit(h.seq(), 0, 0x1000, 2) })
+			moves(0, "popStore", false, func() { h.tick(1) })
+			if !n.StoreBufEmpty() {
+				t.Fatal("the store to an M line did not drain in one tick")
+			}
+			moves(0, "remote read snoop", false, func() {
+				h.nodes[1].Load(h.seq(), 0x1000, false)
+				h.drain()
+			})
+
+			setupLockSharing(h, 0x5000) // node 1's copy goes to T
+			if tc.train {
+				h.store(0, 0x5000, 0) // suppressed
+				h.loadValue(1, 0x5000)
+				h.store(0, 0x5000, 1) // confident now; node 1 back in T
+			}
+			if s := h.nodes[1].LineState(0x5000); s != StateT {
+				t.Fatalf("remote state = %s, want T", StateName(s))
+			}
+			moves(1, "revalidating validate snoop", true, func() { h.store(0, 0x5000, 0) })
+			if s := h.nodes[1].LineState(0x5000); s != tc.state {
+				t.Fatalf("revalidated state = %s, want %s", StateName(s), StateName(tc.state))
+			}
+
+			moves(0, "SLE prefetch", true, func() { n.PrefetchExclusive(0x7000) })
+			h.drain()
+			moves(0, "SLE commit", true, func() { n.SLECommitStores([]SpecStore{{Addr: 0x7000, Value: 3}}) })
+		})
+	}
 }
 
 // sinkBus is an interconnect that drops every request, so a benchmark

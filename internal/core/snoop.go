@@ -203,6 +203,7 @@ func (c *Controller) SnoopTxn(t *bus.Txn) bus.SnoopReply {
 					l.State = StateS
 				}
 				c.cnt.mestiRevalidate.Inc()
+				c.retryVer++ // the line is readable again
 				c.traceState(la, StateT, l.State)
 				c.validatedAt[la] = c.now
 			} else {
@@ -314,7 +315,7 @@ func (c *Controller) CompleteTxn(t *bus.Txn) {
 		if m := c.mshrs.Lookup(la); m != nil {
 			switch {
 			case len(m.Waiters) == 0 && !m.SpecDelivered:
-				c.mshrs.Free(m)
+				c.freeMSHR(m)
 			default:
 				// The line was stolen by a snoop between the
 				// upgrade's grant and its completion, and loads
@@ -378,6 +379,7 @@ func (c *Controller) serveMSHR(t *bus.Txn) {
 		// quiesce invariant (and post-mortems) can attribute it.
 		c.cnt.l2MSHROrphanFill.Inc()
 		c.tr.Emit(trace.Event{Kind: trace.KMSHROrphan, Node: int32(c.id), Addr: t.Addr, A: uint8(t.Type)})
+		c.retryVer++ // the fill installed a readable line without a free
 		return
 	}
 	ok := m.Verify(&t.Data)
@@ -420,5 +422,5 @@ func (c *Controller) serveMSHR(t *bus.Txn) {
 	if len(verified) > 0 {
 		c.client.LoadsVerified(verified)
 	}
-	c.mshrs.Free(m)
+	c.freeMSHR(m)
 }

@@ -46,11 +46,20 @@ type MemSystem interface {
 	// StateVersion changes on every memory-system event whose effect
 	// Load, PeekLoad or StoreBufFull could observe (store-buffer pushes
 	// and drains, this node's bus grants and completions, snooped
-	// remote transactions, SLE prefetches and commits), and it is never
-	// zero. While it holds, a load that got core.LoadRetryFull would get
-	// it again. The core keys its cached quiescence horizon and its
-	// parked loads (entry.parkVer) to it.
+	// remote transactions, SLE prefetches and commits). The core keys
+	// its cached quiescence horizon to it. It moves whenever
+	// RetryVersion does.
 	StateVersion() uint64
+
+	// RetryVersion is the wake-up key of the core's parked loads (see
+	// Core.parkQ). While it holds, a load that got core.LoadRetryFull
+	// would get it again, provided that load's older-store scan found
+	// nothing (no older in-window store or SC to its word, every older
+	// address resolved). That proviso is why store-buffer pushes need
+	// not move it: later pushes come from those older stores. It moves
+	// on MSHR frees, revalidating snooped validates, allocating SLE
+	// prefetches and performing SLE commits (core.Controller.RetryVersion).
+	RetryVersion() uint64
 
 	// EarliestFill reports the earliest scheduled completion cycle
 	// among this node's granted outstanding misses, false when none is
@@ -186,7 +195,8 @@ type entry struct {
 	// squash; dead plus a seq mismatch is how they are detected lazily.
 	dead bool
 
-	// queued: this entry has been placed on the core's readyQ. Set at
+	// queued: this entry has been placed on the core's readyQ (a
+	// parked load stays queued while it sits in parkQ). Set at
 	// most once per entry lifetime — once issued/done/dead an entry
 	// can never become actionable again — so it doubles as the
 	// enqueue-dedup guard (slot-0 and slot-1 wakeups may both fire).
@@ -204,13 +214,6 @@ type entry struct {
 	scanVer   uint64
 	scanStall bool
 	scanFwd   *entry
-
-	// parkVer is the memsys.StateVersion at which Load last answered
-	// core.LoadRetryFull for this load (0: not parked). While the
-	// version still matches, a reissue would miss, find the MSHR file
-	// exhausted and retry again, so issueLoad and quiesce replay its
-	// counter bumps without calling the memory system (see parked).
-	parkVer uint64
 }
 
 // consRef is one wakeup registration: entry e (identified by seq, so a
@@ -299,8 +302,9 @@ type cpuCounters struct {
 	// storeBufFull, l1Miss, l2Miss and mshrFull are the controller's
 	// handles (the counters object is shared machine-wide): SkipCycles
 	// replays the bumps the refused StoreCommit and counted load
-	// retries of each skipped stall cycle would have made, and a parked
-	// load's issue attempt replays its counted retry (see parked).
+	// retries of each skipped stall cycle would have made, and issue
+	// replays the counted retries of the parked loads it reaches (see
+	// parkQ).
 	storeBufFull stats.Counter
 	l1Miss       stats.Counter
 	l2Miss       stats.Counter
@@ -367,6 +371,21 @@ type Core struct {
 	// (see entryRef).
 	execQ  []entryRef
 	readyQ []entryRef
+
+	// parkQ holds, sorted by seq, the loads whose last Load answered
+	// core.LoadRetryFull, taken out of readyQ; parkKey is the
+	// memsys.RetryVersion at which the first of them parked. While the
+	// version holds, every one of them would retry again, so issue
+	// visits none of them: it counts the ones its walk would have
+	// reached and bumps l1/miss, l2/miss and l2/mshr_full by that count
+	// (see countParked), and quiesce counts all of them as spin
+	// retries. When the version moves, wakeParked merges them back into
+	// readyQ and the next walk probes them again. A load parked after
+	// the version moved past parkKey keeps the older key, which only
+	// wakes the set early. Entries are live loads, so the LSQ bounds
+	// the set; squashAfter trims its tail.
+	parkQ   []entryRef
+	parkKey uint64
 
 	// LSQ disambiguation filter: an incrementally-maintained summary
 	// of the window's stores. lsqUnresolved counts in-window stores
@@ -473,6 +492,7 @@ func New(cfg Config, id int, prog *isa.Program, m MemSystem, counters *stats.Cou
 	// registration load (two source slots per window entry).
 	c.execQ = make([]entryRef, 0, 2*cfg.RUUSize)
 	c.readyQ = make([]entryRef, 0, 2*cfg.RUUSize)
+	c.parkQ = make([]entryRef, 0, cfg.LSQSize)
 	for i := 0; i < cfg.RUUSize+2*cfg.RUUSize/consChunkCap; i++ {
 		c.putChunk(&consChunk{})
 	}
@@ -715,6 +735,7 @@ func (c *Core) quiesce(now uint64) (next uint64, spin coreSpin) {
 	if c.sle != nil && c.sle.speculating() {
 		return now, coreSpin{} // sle.tick runs every cycle while a region is live
 	}
+	c.wakeParked()
 	next = never
 	if len(c.ruu) > 0 {
 		if h := c.ruu[0]; h.done && !h.specVal {
@@ -767,10 +788,6 @@ func (c *Core) quiesce(now uint64) (next uint64, spin coreSpin) {
 			if fwd != nil {
 				return now, coreSpin{} // forwards from an older store
 			}
-			if c.parked(e) {
-				spin.loadRetries++ // the counted retry, known without a probe
-				continue
-			}
 			switch c.memsys.PeekLoad(e.effAddr) {
 			case core.LoadProbeActive:
 				return now, coreSpin{} // hit, merge, or new request
@@ -816,6 +833,12 @@ func (c *Core) quiesce(now uint64) (next uint64, spin coreSpin) {
 			next = at
 		}
 	}
+	// Nothing issues this cycle, so the walk would reach every parked
+	// load and each would retry.
+	if c.checker {
+		c.checkParked(len(c.parkQ))
+	}
+	spin.loadRetries += uint64(len(c.parkQ))
 	return next, spin
 }
 
@@ -1108,6 +1131,9 @@ func (c *Core) squashAfter(seq uint64, newPC int) {
 	// entries are exactly the tail past the survivors.
 	killed := c.ruu[len(keep):]
 	c.ruu = keep
+	for n := len(c.parkQ); n > 0 && c.parkQ[n-1].seq > seq; n-- {
+		c.parkQ = c.parkQ[:n-1]
+	}
 	c.fetchQ = c.fetchQ[:0]
 	c.fetchPC = newPC
 	c.fetchStop = false
@@ -1152,7 +1178,11 @@ func (c *Core) rebuildRename() {
 // ---------------------------------------------------------------------------
 
 func (c *Core) issue() {
+	c.wakeParked()
 	issued, memIssued := 0, 0
+	// cut is the seq of the entry whose issue used up IssueWidth or
+	// MemPorts; parked is how many loads this walk moved to parkQ.
+	cut, parked := ^uint64(0), 0
 	// Walk the actionable entries in program order, compacting
 	// in place with a write cursor. The queue can grow mid-walk (an
 	// elided SC's broadcast enqueues consumers, always beyond the read
@@ -1192,10 +1222,17 @@ func (c *Core) issue() {
 		} else {
 			switch {
 			case e.isLoad:
-				if memIssued < c.cfg.MemPorts && c.issueLoad(e) {
-					issued++
-					memIssued++
-					keep = false
+				if memIssued < c.cfg.MemPorts {
+					switch c.issueLoad(e) {
+					case loadIssued:
+						issued++
+						memIssued++
+						keep = false
+					case loadParked:
+						c.park(r)
+						parked++
+						keep = false
+					}
 				}
 			case e.ins.Op == isa.OpSt:
 				// Stores "execute" once address and data are known; the
@@ -1232,8 +1269,105 @@ func (c *Core) issue() {
 			c.readyQ[w] = r
 			w++
 		}
+		if cut == ^uint64(0) && (issued >= c.cfg.IssueWidth || memIssued >= c.cfg.MemPorts) {
+			cut = e.seq
+		}
 	}
 	c.readyQ = c.readyQ[:w]
+	c.countParked(cut, parked)
+}
+
+// countParked bumps the counters of the parked loads this cycle's walk
+// would have reached had they stayed in readyQ: each would have called
+// Load and got LoadRetryFull again. The walk reaches a load only while
+// IssueWidth and MemPorts both have room, so these are exactly the
+// loads older than cut. The parked loads the walk just added made
+// their own Load call; all of them are older than cut too.
+func (c *Core) countParked(cut uint64, justParked int) {
+	reached := len(c.parkQ)
+	if cut != ^uint64(0) {
+		lo := 0
+		for lo < reached {
+			mid := int(uint(lo+reached) >> 1)
+			if c.parkQ[mid].seq < cut {
+				lo = mid + 1
+			} else {
+				reached = mid
+			}
+		}
+	}
+	if c.checker {
+		c.checkParked(reached)
+	}
+	if n := uint64(reached - justParked); n > 0 {
+		c.cnt.l1Miss.Add(n)
+		c.cnt.l2Miss.Add(n)
+		c.cnt.mshrFull.Add(n)
+	}
+}
+
+// park moves a load whose Load just answered core.LoadRetryFull from
+// the issue walk into parkQ, keeping parkQ sorted by seq.
+func (c *Core) park(r entryRef) {
+	if len(c.parkQ) == 0 {
+		c.parkKey = c.memsys.RetryVersion()
+	}
+	q := append(c.parkQ, entryRef{})
+	i := len(q) - 1
+	for i > 0 && q[i-1].seq > r.seq {
+		q[i] = q[i-1]
+		i--
+	}
+	q[i] = r
+	c.parkQ = q
+}
+
+// wakeParked merges parkQ back into readyQ, in seq order and in place,
+// once the retry version has moved: the parked loads' answers may have
+// changed, so the next walk probes them again. readyQ's capacity is
+// twice the window, and between two walks the two queues together
+// reference only entries that were in the window after the last
+// dispatch, so the merge never outgrows it.
+func (c *Core) wakeParked() {
+	p := c.parkQ
+	if len(p) == 0 || c.memsys.RetryVersion() == c.parkKey {
+		return
+	}
+	n := len(c.readyQ)
+	q := c.readyQ[:n+len(p)]
+	for i, j, k := n-1, len(p)-1, len(q)-1; j >= 0; k-- {
+		if i >= 0 && q[i].seq > p[j].seq {
+			q[k] = q[i]
+			i--
+		} else {
+			q[k] = p[j]
+			j--
+		}
+	}
+	c.readyQ = q
+	c.parkQ = p[:0]
+}
+
+// checkParked is the commit checker's cross-check of the first n
+// parked loads, independent of any version: each must be live, have no
+// older-store conflict, and still be a counted retry by PeekLoad. A
+// failure means RetryVersion held across an event that changed what
+// Load would answer.
+func (c *Core) checkParked(n int) {
+	for _, r := range c.parkQ[:n] {
+		e := r.e
+		if e.dead || e.seq != r.seq || e.issued || e.done {
+			panic(fmt.Sprintf("cpu%d: parked load seq %d is no longer live", c.id, r.seq))
+		}
+		if stall, fwd := c.olderStoreScanFull(e); stall || fwd != nil {
+			panic(fmt.Sprintf("cpu%d: parked load seq %d at %#x has an older-store conflict",
+				c.id, e.seq, e.effAddr))
+		}
+		if p := c.memsys.PeekLoad(e.effAddr); p != core.LoadProbeRetryCounted {
+			panic(fmt.Sprintf("cpu%d: parked load seq %d at %#x no longer retries (probe %d) at retry version %d",
+				c.id, e.seq, e.effAddr, p, c.memsys.RetryVersion()))
+		}
+	}
 }
 
 // issueSC starts a store-conditional at the window head: either the
@@ -1333,16 +1467,22 @@ func (c *Core) olderStoreScanFull(e *entry) (stall bool, fwd *entry) {
 	return false, fwd
 }
 
-// issueLoad tries to issue one load; returns true if it consumed a
-// port. Conservative LSQ disambiguation: the load waits for all older
-// store addresses, forwards from an exact match, and otherwise goes to
-// memory.
-func (c *Core) issueLoad(e *entry) bool {
+// Outcomes of issueLoad.
+const (
+	loadWait   = iota // not issued; stays in readyQ
+	loadIssued        // consumed an issue slot and a memory port
+	loadParked        // got core.LoadRetryFull; belongs in parkQ
+)
+
+// issueLoad tries to issue one load. Conservative LSQ disambiguation:
+// the load waits for all older store addresses, forwards from an exact
+// match, and otherwise goes to memory.
+func (c *Core) issueLoad(e *entry) int {
 	e.effAddr = isa.EffAddr(e.ins, e.src[0])
 	e.addrKnown = true
 	stall, fwd := c.olderStoreScan(e)
 	if stall {
-		return false
+		return loadWait
 	}
 	if fwd != nil {
 		e.issued = true
@@ -1353,22 +1493,14 @@ func (c *Core) issueLoad(e *entry) bool {
 		if c.sle != nil {
 			c.sle.onLoadIssued(e)
 		}
-		return true
-	}
-	if c.parked(e) {
-		// The bumps Load's MSHR-exhausted retry would make.
-		c.cnt.l1Miss.Inc()
-		c.cnt.l2Miss.Inc()
-		c.cnt.mshrFull.Inc()
-		return false
+		return loadIssued
 	}
 	r := c.memsys.Load(e.seq, e.effAddr, e.ins.Op == isa.OpLL)
 	switch r.Status {
 	case core.LoadRetry:
-		return false
+		return loadWait
 	case core.LoadRetryFull:
-		e.parkVer = c.memsys.StateVersion()
-		return false
+		return loadParked
 	case core.LoadHit:
 		e.issued = true
 		e.doneAt = c.now + uint64(r.Lat)
@@ -1389,25 +1521,7 @@ func (c *Core) issueLoad(e *entry) bool {
 	if c.sle != nil {
 		c.sle.onLoadIssued(e)
 	}
-	return true
-}
-
-// parked reports whether e's last Load answer, an MSHR-exhausted
-// retry, still stands: the memory system's StateVersion has not moved
-// since, so calling Load again would only repeat it. Under the commit
-// checker every hit is cross-checked against the side-effect-free
-// PeekLoad, and a disagreement panics.
-func (c *Core) parked(e *entry) bool {
-	if e.parkVer == 0 || e.parkVer != c.memsys.StateVersion() {
-		return false
-	}
-	if c.checker {
-		if p := c.memsys.PeekLoad(e.effAddr); p != core.LoadProbeRetryCounted {
-			panic(fmt.Sprintf("cpu%d: parked load seq %d at %#x no longer retries (probe %d) at state version %d",
-				c.id, e.seq, e.effAddr, p, e.parkVer))
-		}
-	}
-	return true
+	return loadIssued
 }
 
 // ---------------------------------------------------------------------------

@@ -25,9 +25,11 @@ type fakeMem struct {
 	core     *Core
 	ctrs     *stats.Counters
 
-	// ver is the StateVersion; the zero default never parks a load.
+	// retryVer is the RetryVersion; StateVersion is ver + retryVer, so
+	// it moves whenever RetryVersion does, as the controller's does.
 	// loadCalls and peekCalls count Load and PeekLoad calls.
 	ver       uint64
+	retryVer  uint64
 	loadCalls int
 	peekCalls int
 
@@ -92,7 +94,8 @@ func (f *fakeMem) PrefetchExclusive(addr uint64)       { f.prefetches = append(f
 func (f *fakeMem) HoldsWritable(addr uint64) bool      { return f.sleWritable }
 func (f *fakeMem) StoreBufEmpty() bool                 { return true }
 func (f *fakeMem) StoreBufFull() bool                  { return false }
-func (f *fakeMem) StateVersion() uint64                { return f.ver }
+func (f *fakeMem) StateVersion() uint64                { return f.ver + f.retryVer }
+func (f *fakeMem) RetryVersion() uint64                { return f.retryVer }
 func (f *fakeMem) EarliestFill() (uint64, bool)        { return 0, false }
 func (f *fakeMem) SLECommitStores(st []core.SpecStore) bool {
 	if !f.sleWritable {

@@ -136,7 +136,7 @@ func TestLSQForwardingBeatsStoreBuffer(t *testing.T) {
 	if stall || fwd != st {
 		t.Fatalf("scan: stall=%v fwd=%v, want forward from the in-window store", stall, fwd)
 	}
-	if !c.issueLoad(ld) {
+	if c.issueLoad(ld) != loadIssued {
 		t.Fatal("issueLoad refused a forwardable load")
 	}
 	if ld.result != 2 {

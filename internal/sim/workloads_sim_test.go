@@ -1,9 +1,11 @@
 package sim_test
 
 import (
+	"reflect"
 	"testing"
 
 	"tssim/internal/bus"
+	"tssim/internal/core"
 	"tssim/internal/sim"
 	"tssim/internal/workload"
 )
@@ -93,5 +95,69 @@ func TestParkedLoadsCheckedAllBackends(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// retryCounter is a node's controller, seen by its core through a
+// wrapper that counts the Load calls answered LoadRetryFull.
+type retryCounter struct {
+	*core.Controller
+	n *uint64
+}
+
+func (r retryCounter) Load(seq, addr uint64, isLL bool) core.LoadResult {
+	res := r.Controller.Load(seq, addr, isLL)
+	if res.Status == core.LoadRetryFull {
+		*r.n++
+	}
+	return res
+}
+
+// wantRetryFullAnswers is the number of LoadRetryFull answers on the
+// job of TestLoadRetryFullCount. A parked load calls Load again only
+// after the retry version moves, so this is the re-probe work parking
+// leaves. For scale: the job counts 15747205 MSHR-exhausted retries
+// (l2/mshr_full), every one of which was a Load call before loads were
+// parked, and 412836 were left when they were keyed to the wider
+// StateVersion.
+const wantRetryFullAnswers = 89968
+
+// TestLoadRetryFullCount pins, exactly, a deterministic work count of
+// the parked-load path on one fixed specjbb job: how often Load still
+// answers LoadRetryFull. A rise means loads are woken more often than
+// the MSHR file frees; a fall means they are woken less often, which
+// the commit checker's parked-load cross-check should then be shown
+// to still accept. The wrapper itself must change nothing.
+func TestLoadRetryFullCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full specjbb simulation twice")
+	}
+	w, err := workload.ByName("specjbb", workload.Params{CPUs: 4, Scale: 1, UnsafeISyncEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.ExperimentConfig()
+	plain, err := sim.New(cfg, w).RunErr(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New(cfg, w)
+	var n uint64
+	for i, c := range s.Cores {
+		c.SetMemSystem(retryCounter{Controller: s.Nodes[i], n: &n})
+	}
+	counted, err := s.RunErr(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counted.Cycles != plain.Cycles || !reflect.DeepEqual(counted.Counters, plain.Counters) {
+		t.Fatalf("the counting wrapper changed the run: %d cycles vs %d", counted.Cycles, plain.Cycles)
+	}
+	if plain.Counters["l2/mshr_full"] == 0 {
+		t.Fatal("no load found the MSHR file exhausted")
+	}
+	if n != wantRetryFullAnswers {
+		t.Fatalf("LoadRetryFull answered %d times, want %d (l2/mshr_full %d)",
+			n, wantRetryFullAnswers, plain.Counters["l2/mshr_full"])
 	}
 }
